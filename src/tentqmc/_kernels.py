@@ -1,26 +1,21 @@
-"""Backend selection for the pairwise kernel sums.
+"""The pairwise kernel sum behind ``sobolev.wce_squared``.
 
-The compiled extension is preferred when importable; a numpy fallback with
-identical semantics is always available.  TENTQMC_BACKEND=python forces the
-fallback, TENTQMC_BACKEND=compiled insists on the extension.
+The O(N^2 s) Gram mean is computed with numpy in row blocks.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from . import _speedups
-except ImportError:  # pure-Python install
-    _speedups = None
-
-_CHUNK = 1024  # row block size keeps the numpy path under ~100 MB
+_CHUNK = 1024  # row block size keeps the working set under ~100 MB
 
 
-def gram_mean_product_numpy(x, bern, poly2a, gamma, sign, gamma_empty):
-    """Mean of the product-weight kernel Gram matrix plus (gamma_empty - 1)."""
+def gram_mean_product(x, bern, poly2a, gamma, sign, gamma_empty):
+    """Mean of the product-weight kernel Gram matrix plus (gamma_empty - 1).
+
+    x: (N, s) points; bern: (N, s, alpha) values B_tau(x)/tau!;
+    poly2a: descending coefficients of B_2alpha/(2alpha)!.
+    """
     x = np.ascontiguousarray(x, dtype=np.float64)
     N, s = x.shape
     acc = 0.0
@@ -37,24 +32,5 @@ def gram_mean_product_numpy(x, bern, poly2a, gamma, sign, gamma_empty):
 
 
 def backend_name() -> str:
-    forced = os.environ.get("TENTQMC_BACKEND")
-    if forced == "python":
-        return "numpy"
-    if forced == "compiled":
-        if _speedups is None:
-            raise RuntimeError("compiled backend requested but not built")
-        return "compiled"
-    return "compiled" if _speedups is not None else "numpy"
-
-
-def gram_mean_product(x, bern, poly2a, gamma, sign, gamma_empty):
-    if backend_name() == "compiled":
-        return _speedups.gram_mean_product(
-            np.ascontiguousarray(x, dtype=np.float64),
-            np.ascontiguousarray(bern, dtype=np.float64),
-            np.ascontiguousarray(poly2a, dtype=np.float64),
-            np.ascontiguousarray(gamma, dtype=np.float64),
-            float(sign),
-            float(gamma_empty),
-        )
-    return gram_mean_product_numpy(x, bern, poly2a, gamma, sign, gamma_empty)
+    """Name of the Gram-mean implementation, recorded in benchmark results."""
+    return "numpy"

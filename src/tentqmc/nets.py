@@ -222,8 +222,8 @@ def _trunc_digits(k: int, b: int, n: int) -> tuple[int, ...]:
     return tuple((k // b**i) % b for i in range(n))
 
 
-def is_dual_member_direct(net: DigitalNet, kvec: tuple[int, ...]) -> bool:
-    """True when the digit pairing of kvec against every point is 0 mod b."""
+def _pairing_exponents(net: DigitalNet, kvec: tuple[int, ...]) -> np.ndarray:
+    """Per-point exponent sum_j digits[:, j, :] . tr_n(k_j) mod b, shape (N,)."""
     if len(kvec) != net.s:
         raise ValueError("kvec length must equal the net dimension")
     b, n = net.base, net.n
@@ -233,7 +233,12 @@ def is_dual_member_direct(net: DigitalNet, kvec: tuple[int, ...]) -> bool:
             raise ValueError("indices must be >= 0")
         kd = np.array(_trunc_digits(k, b, n), dtype=np.int64)
         e += net.digits[:, j, :].astype(np.int64) @ kd
-    return bool(np.all(e % b == 0))
+    return e % b
+
+
+def is_dual_member_direct(net: DigitalNet, kvec: tuple[int, ...]) -> bool:
+    """True when the digit pairing of kvec against every point is 0 mod b."""
+    return bool(np.all(_pairing_exponents(net, kvec) == 0))
 
 
 def is_dual_member_matrix(gen: GeneratingMatrices, kvec: tuple[int, ...]) -> bool:
@@ -263,14 +268,14 @@ def is_dual_member_poly(spec: PolyLatticeSpec, kvec: tuple[int, ...]) -> bool:
     return poly_mod(acc, spec.p).degree() < spec.n - spec.m
 
 
-def _membership_table(gen: GeneratingMatrices, indices: np.ndarray) -> np.ndarray:
-    """C_j^T tr_n(k) mod b for one coordinate, all k in indices: (L, m)."""
+def _index_digits(gen: GeneratingMatrices, indices: np.ndarray) -> np.ndarray:
+    """First n base-b digits of each index, least significant first: (L, n)."""
     b, n = gen.base, gen.n
     L = indices.shape[0]
     kd = np.empty((L, n), dtype=np.int64)
     for i in range(n):
         kd[:, i] = (indices // b**i) % b
-    return kd  # caller applies the per-coordinate matrix
+    return kd
 
 
 def enumerate_dual(
@@ -282,7 +287,7 @@ def enumerate_dual(
         raise ValueError("T must be >= 1")
     per = b**T
     _check_budget(per**s, cap, "dual enumeration")
-    kd = _membership_table(gen, np.arange(per))
+    kd = _index_digits(gen, np.arange(per))
     r = min(T, n)
     tables = [
         kd[:, :r] @ gen.mats[j, :r, :].astype(np.int64) % b for j in range(s)
@@ -310,14 +315,8 @@ def walsh_character_sum(net: DigitalNet, kvec: tuple[int, ...]) -> complex:
     Exponents are tallied as integers; the zero/nonzero decision never
     touches floating point.
     """
-    if len(kvec) != net.s:
-        raise ValueError("kvec length must equal the net dimension")
-    b, n = net.base, net.n
-    e = np.zeros(net.size, dtype=np.int64)
-    for j, k in enumerate(kvec):
-        kd = np.array(_trunc_digits(k, b, n), dtype=np.int64)
-        e += net.digits[:, j, :].astype(np.int64) @ kd
-    counts = np.bincount(e % b, minlength=b)
+    b = net.base
+    counts = np.bincount(_pairing_exponents(net, kvec), minlength=b)
     if counts[0] == net.size:
         return complex(net.size)
     # image of a digit-linear map is the subgroup gZ_b; fibers have equal size

@@ -474,23 +474,27 @@ def kernel_walsh_coefficient_1d(j: int, alpha: int, b: int,
     return float(acc)
 
 
-def calibrate_c_walsh(alpha: int, b: int, scan_digits: int = 8,
-                      margin: float = 1.1,
-                      res_digits: int | None = None) -> float:
+# Headroom on the calibrated constant: the scan stops at b^scan_digits and
+# the midpoint rule carries a small relative error, so the largest ratio
+# actually attained can sit a little above the scanned maximum.
+_CALIBRATION_MARGIN = 1.1
+
+
+def calibrate_c_walsh(alpha: int, b: int, scan_digits: int = 8) -> float:
     """Empirical coefficient-decay constant.
 
-    Scans every index k < b^scan_digits, takes the smallest C with
-    |coeff(k, k)| <= C b^(-2 mu_alpha(k)), and adds ``margin`` headroom.
+    Scans every index k < b^scan_digits, with quadrature at resolution
+    scan_digits + alpha + 1, takes the smallest C with
+    |coeff(k, k)| <= C b^(-2 mu_alpha(k)), and adds ten percent headroom.
     """
     if alpha < 1 or scan_digits < 1:
         raise ValueError("need alpha >= 1 and scan_digits >= 1")
-    if res_digits is None:
-        res_digits = scan_digits + alpha + 1
+    res_digits = scan_digits + alpha + 1
     worst = 0.0
     for k in range(1, b**scan_digits):
         coeff = kernel_walsh_coefficient_1d(k, alpha, b, res_digits)
         worst = max(worst, abs(coeff) * float(b) ** (2 * mu_alpha(k, alpha, b)))
-    return margin * worst
+    return _CALIBRATION_MARGIN * worst
 
 
 # ---------------------------------------------------------------------------
@@ -512,17 +516,17 @@ def _as_matrices(net) -> GeneratingMatrices:
     raise TypeError("need generating matrices (or a spec that yields them)")
 
 
-def _dual_box_sum(gen: GeneratingMatrices, T: int, coeff: np.ndarray,
+def _dual_box_sum(gen: GeneratingMatrices, A: np.ndarray, coeff: np.ndarray,
                   weights: Weights, c_factor: float,
                   cap: int | None) -> float:
     """Sum of gamma_u c^|u| prod_j coeff[k_j] over truncated dual vectors.
 
-    coeff is indexed like the admissible list; entry 0 (k = 0) is unused.
+    A is the admissible list and coeff is indexed like it; entry 0
+    (k = 0) is unused.
     """
     b, n, m, s = gen.base, gen.n, gen.m, gen.s
     if weights.s != s:
         raise ValueError("weights dimension must match the net")
-    A = _admissible_indices(b, T)
     L = A.shape[0]
     limit = digit_cap() if cap is None else cap
     if L**s > limit:
@@ -559,6 +563,25 @@ def _dual_box_sum(gen: GeneratingMatrices, T: int, coeff: np.ndarray,
     return float(np.sum(prod[member]))
 
 
+def _truncated_dual_sum(net, params: KernelParams, weights: Weights,
+                        T: int | None, cap: int | None, coeff_of,
+                        c_factor: float) -> tuple[float, int]:
+    """Resolve the net and the truncation T, then sum over its dual box.
+
+    coeff_of(j, T) is the one-dimensional coefficient at index
+    j = floor(k / b) of an admissible k.  Returns (sum, T).
+    """
+    gen = _as_matrices(net)
+    b = gen.base
+    if params.base != b:
+        raise ValueError("params base must match the net")
+    if T is None:
+        T = gen.n + params.alpha + 2
+    A = _admissible_indices(b, T)
+    coeff = np.array([0.0] + [coeff_of(int(k) // b, T) for k in A[1:]])
+    return _dual_box_sum(gen, A, coeff, weights, c_factor, cap), T
+
+
 def dual_net_wce(net, params: KernelParams, weights: Weights,
                  T: int | None = None, cap: int | None = None) -> float:
     """Truncated mean square worst-case error of the shifted-folded net.
@@ -568,22 +591,12 @@ def dual_net_wce(net, params: KernelParams, weights: Weights,
     each component below b^T.  Coefficients come from quadrature at digit
     resolution T + alpha.
     """
-    gen = _as_matrices(net)
-    b = gen.base
-    if params.base != b:
-        raise ValueError("params base must match the net")
-    if T is None:
-        T = gen.n + params.alpha + 2
-    A = _admissible_indices(b, T)
-    res_digits = T + params.alpha
-    coeff = np.array(
-        [0.0]
-        + [
-            kernel_walsh_coefficient_1d(int(k) // b, params.alpha, b, res_digits)
-            for k in A[1:]
-        ]
-    )
-    return _dual_box_sum(gen, T, coeff, weights, 1.0, cap)
+    a = params.alpha
+
+    def coeff_of(j: int, T: int) -> float:
+        return kernel_walsh_coefficient_1d(j, a, params.base, T + a)
+
+    return _truncated_dual_sum(net, params, weights, T, cap, coeff_of, 1.0)[0]
 
 
 @dataclass(frozen=True)
@@ -605,22 +618,13 @@ def bound_B(net, params: KernelParams, weights: Weights,
     Runs over the same truncated dual vectors as ``dual_net_wce`` with the
     kernel coefficients replaced by their decay bound; requires c_walsh.
     """
-    gen = _as_matrices(net)
-    b = gen.base
-    if params.base != b:
-        raise ValueError("params base must match the net")
     c = params.require_c()
-    if T is None:
-        T = gen.n + params.alpha + 2
-    A = _admissible_indices(b, T)
-    coeff = np.array(
-        [0.0]
-        + [
-            float(b) ** (-2 * mu_alpha(int(k) // b, params.alpha, b))
-            for k in A[1:]
-        ]
-    )
-    value = _dual_box_sum(gen, T, coeff, weights, c, cap)
+    a, b = params.alpha, params.base
+
+    def coeff_of(j: int, T: int) -> float:
+        return float(b) ** (-2 * mu_alpha(j, a, b))
+
+    value, T = _truncated_dual_sum(net, params, weights, T, cap, coeff_of, c)
     if params.alpha >= 2:
         _, a2 = A_constants(params.alpha, b, 1.0)
         tail_1d = a2 * float(b) ** (-4.0 * T)

@@ -160,7 +160,7 @@ def kernel_coeff_naive(j, alpha, b, res_digits):
 
 
 def wce_squared_slow(points, params, weights):
-    """Double loop over the full kernel; no backend, no vectorization."""
+    """Double loop over the full kernel, no vectorization."""
     from tentqmc.sobolev import kernel
 
     pts = [tuple(float(c) for c in p) for p in points]

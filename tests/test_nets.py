@@ -154,6 +154,8 @@ class TestDual:
         net = net_from_matrices(matrices_from_poly(spec_2d()))
         with pytest.raises(ValueError):
             is_dual_member_direct(net, (-1, 0))
+        with pytest.raises(ValueError):
+            walsh_character_sum(net, (-1, 0))
 
 
 class TestCharacterSum:

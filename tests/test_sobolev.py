@@ -15,6 +15,7 @@ from oracles import (
     kernel_coeff_naive,
     wce_squared_slow,
 )
+from tentqmc import _kernels
 from tentqmc.base_arith import poly_from_string
 from tentqmc.nets import PolyLatticeSpec, matrices_from_poly, net_from_poly
 from tentqmc.sobolev import (
@@ -171,6 +172,17 @@ class TestWceSquared:
         want = wce_squared_slow(pts, params, w)
         assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
 
+    def test_matches_slow_double_loop_across_row_blocks(self, monkeypatch):
+        # blocks of 4 rows split N = 11 into 4 + 4 + 3
+        monkeypatch.setattr(_kernels, "_CHUNK", 4)
+        rng = np.random.default_rng(8)
+        pts = rng.random((11, 3))
+        params = KernelParams(2, 2)
+        w = ProductWeights((1.0, 0.5, 0.25))
+        got = wce_squared(pts, params, w)
+        want = wce_squared_slow(pts, params, w)
+        assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
+
     def test_matches_slow_double_loop_table(self):
         rng = np.random.default_rng(6)
         pts = rng.random((7, 2))
@@ -199,29 +211,6 @@ class TestWceSquared:
         a = wce_squared(pts, params, prod)
         b = wce_squared(pts, params, table)
         assert a == pytest.approx(b, rel=1e-10, abs=1e-13)
-
-    def test_backends_agree(self, monkeypatch):
-        from tentqmc import _kernels
-
-        if _kernels._speedups is None:
-            pytest.skip("extension not built")
-        rng = np.random.default_rng(8)
-        pts = rng.random((50, 3))
-        params = KernelParams(2, 2)
-        w = ProductWeights((1.0, 0.5, 0.25))
-        fast = wce_squared(pts, params, w)
-        monkeypatch.setenv("TENTQMC_BACKEND", "python")
-        slow = wce_squared(pts, params, w)
-        assert fast == pytest.approx(slow, rel=1e-12, abs=1e-14)
-
-    def test_forced_compiled_without_extension(self, monkeypatch):
-        from tentqmc import _kernels
-
-        if _kernels._speedups is not None:
-            pytest.skip("extension present; nothing to refuse")
-        monkeypatch.setenv("TENTQMC_BACKEND", "compiled")
-        with pytest.raises(RuntimeError):
-            _kernels.backend_name()
 
     def test_empty_points_rejected(self):
         with pytest.raises(ValueError):
