@@ -173,13 +173,15 @@ def cmd_bound(args) -> int:
         writer = csv.writer(out)
         writer.writerow(
             ["p"] + [f"q{j + 1}" for j in range(spec.s)]
-            + ["T", "c_walsh", "bound", "existence_bound", "lambda_opt"]
+            + ["T", "c_walsh", "bound", "existence_bound", "lambda_opt",
+               "tail_note", "c_walsh_source"]
         )
         writer.writerow(
             [poly_to_string(spec.p)]
             + [poly_to_string(q) for q in spec.qs]
             + [fom.truncation, _fmt(params.c_walsh), _fmt(fom.value), _fmt(ex),
-               _fmt(lam)]
+               _fmt(lam), fom.tail_note,
+               "given" if args.cwalsh is not None else "calibrated"]
         )
     finally:
         if close:

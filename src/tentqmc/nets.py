@@ -58,7 +58,9 @@ def digit_cap() -> int:
 def _check_budget(amount: int, cap: int | None, what: str) -> None:
     limit = digit_cap() if cap is None else cap
     if amount > limit:
-        raise CapacityError(f"{what} needs {amount} > cap {limit}")
+        raise CapacityError(
+            f"{what} needs {amount} > cap {limit}; raise TENTQMC_CAP to allow it"
+        )
 
 
 @dataclass(frozen=True, eq=False)

@@ -32,6 +32,8 @@ def first_irreducible(base: int, degree: int) -> PolyZb:
     if degree < 1:
         raise ValueError("degree must be >= 1")
     for low in itertools.product(range(base), repeat=degree):
+        if degree > 1 and low[0] == 0:
+            continue  # divisible by x
         p = PolyZb(base, low + (1,))
         if poly_is_irreducible(p):
             return p

@@ -20,6 +20,16 @@ sum truncated to k_j < b^T and ``bound_B`` the closed-form dominating
 sum C^|u| b^(-2 mu_alpha), whose truncation-free value is controlled by
 the A1/A2 constants of ``A_constants``.
 
+Both sums are taken without listing dual vectors.  Dual membership is
+linear in the index digits, so each coordinate becomes a histogram of
+its weighted coefficients over the b^m residues in Z_b^m, and the
+coordinates combine by convolution over Z_b^m (Dick & Pillichshammer,
+Digital Nets and Sequences, on digital-shift-invariant kernels).  Every
+term added is nonnegative.  The equivalent character sum over the
+points, (1/N) sum_h prod_j (1 + c gamma_j G(x_hj)) - 1, is not used: it
+subtracts numbers of size 1 to leave figures near 1e-12 and loses most
+of their digits.
+
 The coefficient magnitude constant C is not pinned analytically; it is
 calibrated empirically by ``calibrate_c_walsh`` (scan of diagonal kernel
 coefficients against b^(-2 mu_alpha(k)), plus ten percent headroom) and
@@ -43,12 +53,12 @@ from .nets import (
     DigitalNet,
     GeneratingMatrices,
     PolyLatticeSpec,
-    digit_cap,
+    _check_budget,
     matrices_from_poly,
     net_from_matrices,
 )
 from .transforms import RngSpec, folded_values, sample_shift, shift_digit_array
-from .walsh import delta_b, grid_exponents, mu_alpha
+from .walsh import grid_exponents, mu_alpha
 
 # ---------------------------------------------------------------------------
 # Bernoulli polynomials, exact
@@ -500,10 +510,44 @@ def calibrate_c_walsh(alpha: int, b: int, scan_digits: int = 8) -> float:
 # ---------------------------------------------------------------------------
 # Truncated dual sums
 
-def _admissible_indices(b: int, T: int) -> np.ndarray:
-    """0 together with every k < b^T whose digit sum is 0 mod b."""
-    ks = [0] + [k for k in range(1, b**T) if delta_b(k, b) % b == 0]
-    return np.array(ks, dtype=np.int64)
+@lru_cache(maxsize=32)
+def _admissible_digits(b: int, T: int) -> np.ndarray:
+    """Digits of the admissible indices k < b^T, least significant first.
+
+    An index is admissible when it is 0 or its digit sum is 0 mod b.  The
+    top T - 1 digits are free and fix the last one, so row j holds the one
+    admissible k with floor(k / b) = j, for j < b^(T-1); row 0 is k = 0.
+    Shape (b^(T-1), T), uint8, read-only because calls share it.
+    """
+    L = b ** (T - 1)
+    digits = np.empty((L, T), dtype=np.uint8)
+    q = np.arange(L, dtype=np.int64)
+    for i in range(1, T):
+        q, r = np.divmod(q, b)
+        digits[:, i] = r
+    digits[:, 0] = -digits[:, 1:].sum(axis=1, dtype=np.int64) % b
+    digits.flags.writeable = False
+    return digits
+
+
+@lru_cache(maxsize=32)
+def _decay_coefficients(b: int, T: int, alpha: int) -> np.ndarray:
+    """b^(-2 mu_alpha(j)) for j < b^(T-1), read-only.
+
+    The digits of j are columns 1..T-1 of ``_admissible_digits``.
+    """
+    digits = _admissible_digits(b, T)
+    mu = np.zeros(digits.shape[0], dtype=np.int64)
+    taken = np.zeros(digits.shape[0], dtype=np.int64)
+    for pos in range(T - 1, 0, -1):
+        use = (digits[:, pos] != 0) & (taken < alpha)
+        mu += use * pos
+        taken += use
+    # the same float power per exponent as the scalar formula
+    table = np.array([float(b) ** (-2 * v) for v in range(int(mu.max()) + 1)])
+    coeff = table[mu]
+    coeff.flags.writeable = False
+    return coeff
 
 
 def _as_matrices(net) -> GeneratingMatrices:
@@ -516,60 +560,116 @@ def _as_matrices(net) -> GeneratingMatrices:
     raise TypeError("need generating matrices (or a spec that yields them)")
 
 
-def _dual_box_sum(gen: GeneratingMatrices, A: np.ndarray, coeff: np.ndarray,
-                  weights: Weights, c_factor: float,
-                  cap: int | None) -> float:
-    """Sum of gamma_u c^|u| prod_j coeff[k_j] over truncated dual vectors.
+def _code_digit(codes: np.ndarray, b: int, i: int) -> np.ndarray:
+    return codes // b**i % b
 
-    A is the admissible list and coeff is indexed like it; entry 0
-    (k = 0) is unused.
+
+@lru_cache(maxsize=8)
+def _negated_codes(b: int, m: int) -> np.ndarray:
+    """Code of -r in Z_b^m for every code r < b^m, read-only."""
+    codes = np.arange(b**m, dtype=np.int64)
+    neg = np.zeros_like(codes)
+    for i in range(m):
+        neg += -_code_digit(codes, b, i) % b * b**i
+    neg.flags.writeable = False
+    return neg
+
+
+def _residue_codes(digits: np.ndarray, mat: np.ndarray, b: int) -> np.ndarray:
+    """Code sum_i r_i b^i of r = tr_t(k)^T C mod b per digit row of k.
+
+    t = digits.shape[1], and mat holds the first t rows of C.
+    """
+    res = np.zeros((digits.shape[0], mat.shape[1]), dtype=np.int64)
+    for i in range(digits.shape[1]):
+        res = (res + digits[:, i, None].astype(np.int64) * mat[i]) % b
+    return res @ b ** np.arange(mat.shape[1], dtype=np.int64)
+
+
+# Entries of the (rows, N) difference-code block of one convolution step
+_CONV_BLOCK = 2**16
+
+
+def _convolve(D: np.ndarray, F: np.ndarray, b: int, m: int) -> np.ndarray:
+    """(D * F)(r) = sum_r' D(r') F(r - r') over Z_b^m, in row blocks."""
+    N = D.size
+    codes = np.arange(N, dtype=np.int64)
+    out = np.zeros(N)
+    step = max(1, _CONV_BLOCK // N)
+    for lo in range(0, N, step):
+        rows = codes[lo:lo + step, None]
+        diff = np.zeros((rows.shape[0], N), dtype=np.int64)
+        for i in range(m):
+            delta = _code_digit(codes, b, i) - _code_digit(rows, b, i)
+            diff += delta % b * b**i
+        out += D[lo:lo + step] @ F[diff]
+    return out
+
+
+def _dual_histogram_sum(gen: GeneratingMatrices, digits: np.ndarray,
+                        coeff: np.ndarray, weights: Weights, c_factor: float,
+                        cap: int | None) -> float:
+    """Sum of gamma_u c^|u| prod_j coeff[k_j] over the truncated dual.
+
+    ``digits`` and ``coeff`` are indexed by admissible row; row 0 (k = 0)
+    is left out of every histogram.
     """
     b, n, m, s = gen.base, gen.n, gen.m, gen.s
     if weights.s != s:
         raise ValueError("weights dimension must match the net")
-    L = A.shape[0]
-    limit = digit_cap() if cap is None else cap
-    if L**s > limit:
-        raise CapacityError(f"dual box of {L}^{s} index vectors exceeds cap {limit}")
-    kd = np.empty((L, n), dtype=np.int64)
-    for i in range(n):
-        kd[:, i] = (A // b**i) % b
-    residues = [kd @ gen.mats[j].astype(np.int64) % b for j in range(s)]
-    if isinstance(weights, ProductWeights):
-        factors = [
-            np.concatenate(([1.0], c_factor * weights.gammas[j] * coeff[1:]))
-            for j in range(s)
-        ]
-        gamma_mask = None
-    else:
-        factors = [
-            np.concatenate(([1.0], c_factor * coeff[1:])) for _ in range(s)
-        ]
-        gamma_mask = np.array(
-            [weights.gamma_of_mask(mask) for mask in range(2**s)]
-        )
-    res = np.zeros((1, m), dtype=np.int64)
-    prod = np.ones(1)
-    mask = np.zeros(1, dtype=np.int64)
+    N = b**m
+    table = not isinstance(weights, ProductWeights)
+    work = max(N * N if s >= 3 else N, 2**s * N if table else 0)
+    _check_budget(work, cap, f"combining {s} residue histograms over Z_{b}^{m}")
+    kd = digits[1:, : min(n, digits.shape[1])]
+    hist = []
     for j in range(s):
-        res = (res[:, None, :] + residues[j][None, :, :]).reshape(-1, m) % b
-        prod = (prod[:, None] * factors[j][None, :]).reshape(-1)
-        bit = np.where(A > 0, 1 << j, 0)
-        mask = (mask[:, None] + bit[None, :]).reshape(-1)
-    member = np.all(res == 0, axis=1)
-    member[0] = False  # k = 0 is excluded from the sum
-    if gamma_mask is not None:
-        prod = prod * gamma_mask[mask]
-    return float(np.sum(prod[member]))
+        scale = c_factor if table else c_factor * weights.gammas[j]
+        code = _residue_codes(kd, gen.mats[j, : kd.shape[1]], b)
+        hist.append(np.bincount(code, weights=scale * coeff[1:], minlength=N))
+    neg = _negated_codes(b, m)
+    if not table:
+        # D(r): nonzero k_1..k_j whose residues add up to r
+        D = hist[0]
+        for F in hist[1:-1]:
+            D = D + F + _convolve(D, F, b, m)
+        if s == 1:
+            return float(D[0])
+        F = hist[-1]
+        return float(D[0] + F[0] + D @ F[neg])
+    # one D row per support mask u, holding the k with support exactly u
+    D = np.zeros((2**s, N))
+    at_zero = np.zeros(2**s)
+    for j, F in enumerate(hist):
+        bit = 1 << j
+        for u in range(1, bit):
+            at_zero[u | bit] = D[u] @ F[neg]
+            if j < s - 1 and D[u].any():
+                D[u | bit] = _convolve(D[u], F, b, m)
+        D[bit] = F
+        at_zero[bit] = F[0]
+    gammas = np.array([0.0] + [weights.gamma_of_mask(u) for u in range(1, 2**s)])
+    return float(gammas @ at_zero)
 
 
 def _truncated_dual_sum(net, params: KernelParams, weights: Weights,
-                        T: int | None, cap: int | None, coeff_of,
+                        T: int | None, cap: int | None, coeffs,
                         c_factor: float) -> tuple[float, int]:
-    """Resolve the net and the truncation T, then sum over its dual box.
+    """Resolve the net and the truncation T, then sum over the truncated dual.
 
-    coeff_of(j, T) is the one-dimensional coefficient at index
-    j = floor(k / b) of an admissible k.  Returns (sum, T).
+    The dual condition sum_j C_j^T tr_t(k_j) = 0 in Z_b^m (t = min(n, T))
+    is linear, so each coordinate reduces to a histogram over the N = b^m
+    residues: F_j(r) sums c gamma_j coeff(k) over the admissible k != 0
+    whose residue is r.  The coordinates combine by the recurrence
+    D <- D + F_j + D * F_j, * the convolution over Z_b^m, and the sum is
+    D(0): O(N) per coordinate for s <= 2, O(N^2) for each further one.
+    Table weights keep one D per support mask.  Every term added is
+    nonnegative, so the tiny sums keep their relative accuracy; the
+    character-sum form (1/N) sum_h prod_j (1 + c gamma_j G(x_hj)) - 1
+    subtracts numbers of size 1 and would lose most of their digits.
+
+    coeffs(T) returns the one-dimensional coefficient at index
+    j = floor(k / b) for every j < b^(T-1).  Returns (sum, T).
     """
     gen = _as_matrices(net)
     b = gen.base
@@ -577,9 +677,12 @@ def _truncated_dual_sum(net, params: KernelParams, weights: Weights,
         raise ValueError("params base must match the net")
     if T is None:
         T = gen.n + params.alpha + 2
-    A = _admissible_indices(b, T)
-    coeff = np.array([0.0] + [coeff_of(int(k) // b, T) for k in A[1:]])
-    return _dual_box_sum(gen, A, coeff, weights, c_factor, cap), T
+    if T < 1:
+        raise ValueError("truncation T must be >= 1")
+    _check_budget(b**T, cap, f"admissible index scan of {b}^{T}")
+    digits = _admissible_digits(b, T)
+    value = _dual_histogram_sum(gen, digits, coeffs(T), weights, c_factor, cap)
+    return value, T
 
 
 def dual_net_wce(net, params: KernelParams, weights: Weights,
@@ -591,12 +694,15 @@ def dual_net_wce(net, params: KernelParams, weights: Weights,
     each component below b^T.  Coefficients come from quadrature at digit
     resolution T + alpha.
     """
-    a = params.alpha
+    a, b = params.alpha, params.base
 
-    def coeff_of(j: int, T: int) -> float:
-        return kernel_walsh_coefficient_1d(j, a, params.base, T + a)
+    def coeffs(T: int) -> np.ndarray:
+        return np.array([0.0] + [
+            kernel_walsh_coefficient_1d(j, a, b, T + a)
+            for j in range(1, b ** (T - 1))
+        ])
 
-    return _truncated_dual_sum(net, params, weights, T, cap, coeff_of, 1.0)[0]
+    return _truncated_dual_sum(net, params, weights, T, cap, coeffs, 1.0)[0]
 
 
 @dataclass(frozen=True)
@@ -621,10 +727,10 @@ def bound_B(net, params: KernelParams, weights: Weights,
     c = params.require_c()
     a, b = params.alpha, params.base
 
-    def coeff_of(j: int, T: int) -> float:
-        return float(b) ** (-2 * mu_alpha(j, a, b))
+    def coeffs(T: int) -> np.ndarray:
+        return _decay_coefficients(b, T, a)
 
-    value, T = _truncated_dual_sum(net, params, weights, T, cap, coeff_of, c)
+    value, T = _truncated_dual_sum(net, params, weights, T, cap, coeffs, c)
     if params.alpha >= 2:
         _, a2 = A_constants(params.alpha, b, 1.0)
         tail_1d = a2 * float(b) ** (-4.0 * T)

@@ -13,7 +13,13 @@ from fractions import Fraction
 import numpy as np
 
 from tentqmc.base_arith import BAdicReal, PolyZb
-from tentqmc.nets import PolyLatticeSpec
+from tentqmc.nets import (
+    CapacityError,
+    GeneratingMatrices,
+    PolyLatticeSpec,
+    digit_cap,
+)
+from tentqmc.sobolev import ProductWeights, Weights
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +176,56 @@ def wce_squared_slow(points, params, weights):
         for yp in pts:
             acc += kernel(params, weights, xp, yp)
     return acc / (N * N) - weights.gamma_empty
+
+
+# ---------------------------------------------------------------------------
+# truncated dual sums by enumerating the whole L^s dual box
+
+def _dual_box_sum(gen: GeneratingMatrices, A: np.ndarray, coeff: np.ndarray,
+                  weights: Weights, c_factor: float,
+                  cap: int | None) -> float:
+    """Sum of gamma_u c^|u| prod_j coeff[k_j] over truncated dual vectors.
+
+    A is the admissible list and coeff is indexed like it; entry 0
+    (k = 0) is unused.
+    """
+    b, n, m, s = gen.base, gen.n, gen.m, gen.s
+    if weights.s != s:
+        raise ValueError("weights dimension must match the net")
+    L = A.shape[0]
+    limit = digit_cap() if cap is None else cap
+    if L**s > limit:
+        raise CapacityError(f"dual box of {L}^{s} index vectors exceeds cap {limit}")
+    kd = np.empty((L, n), dtype=np.int64)
+    for i in range(n):
+        kd[:, i] = (A // b**i) % b
+    residues = [kd @ gen.mats[j].astype(np.int64) % b for j in range(s)]
+    if isinstance(weights, ProductWeights):
+        factors = [
+            np.concatenate(([1.0], c_factor * weights.gammas[j] * coeff[1:]))
+            for j in range(s)
+        ]
+        gamma_mask = None
+    else:
+        factors = [
+            np.concatenate(([1.0], c_factor * coeff[1:])) for _ in range(s)
+        ]
+        gamma_mask = np.array(
+            [weights.gamma_of_mask(mask) for mask in range(2**s)]
+        )
+    res = np.zeros((1, m), dtype=np.int64)
+    prod = np.ones(1)
+    mask = np.zeros(1, dtype=np.int64)
+    for j in range(s):
+        res = (res[:, None, :] + residues[j][None, :, :]).reshape(-1, m) % b
+        prod = (prod[:, None] * factors[j][None, :]).reshape(-1)
+        bit = np.where(A > 0, 1 << j, 0)
+        mask = (mask[:, None] + bit[None, :]).reshape(-1)
+    member = np.all(res == 0, axis=1)
+    member[0] = False  # k = 0 is excluded from the sum
+    if gamma_mask is not None:
+        prod = prod * gamma_mask[mask]
+    return float(np.sum(prod[member]))
 
 
 # ---------------------------------------------------------------------------

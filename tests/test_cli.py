@@ -17,10 +17,17 @@ from tentqmc.cli import (
     write_experiment_csv,
 )
 from tentqmc.nets import load_spec_file, matrices_from_poly, net_from_matrices
-from tentqmc.sobolev import KernelParams, ProductWeights, bound_B, wce_squared
+from tentqmc.sobolev import (
+    KernelParams,
+    ProductWeights,
+    bound_B,
+    calibrate_c_walsh,
+    wce_squared,
+)
 
 REF_SPEC = "b=2\nm=2\nn=2\np=1,1,1\nq1=1\nq2=0,1\n"
 GRID_SPEC = "b=2\nm=2\nn=2\np=0,0,1\nq1=1\n"
+S3_SPEC = "b=2\nm=6\nn=6\np=1,1,0,0,0,0,1\nq1=1\nq2=1,1,0,1\nq3=1,0,1,1,1\n"
 
 
 def write(tmp_path, name, text):
@@ -114,9 +121,39 @@ class TestBound:
         spec = load_spec_file(spec_path)
         params = KernelParams(2, 2, 0.28)
         w = ProductWeights((1.0, 1.0))
-        want = bound_B(spec, params, w, T=6).value
-        assert float(row[head.index("bound")]) == want
+        fom = bound_B(spec, params, w, T=6)
+        assert float(row[head.index("bound")]) == fom.value
         assert float(row[head.index("existence_bound")]) > 0
+        assert head[-2:] == ["tail_note", "c_walsh_source"]
+        assert row[-2:] == [fom.tail_note, "given"]
+
+    def test_calibrated_constant_is_labelled(self, tmp_path, capsys):
+        spec_path = write(tmp_path, "spec.txt", REF_SPEC)
+        code, out, _ = run_main(["bound", spec_path, "--truncation", "6"], capsys)
+        assert code == 0
+        head, row = list(csv.reader(io.StringIO(out)))
+        assert float(row[head.index("c_walsh")]) == calibrate_c_walsh(2, 2)
+        assert row[head.index("c_walsh_source")] == "calibrated"
+        assert row[head.index("tail_note")].startswith("omitted multiples of b^6")
+
+    def test_three_coordinates_at_default_truncation(self, tmp_path, capsys):
+        # the L^s dual box of 512^3 vectors used to exceed the default cap
+        spec_path = write(tmp_path, "spec.txt", S3_SPEC)
+        code, out, _ = run_main(["bound", spec_path, "--cwalsh", "0.28"], capsys)
+        assert code == 0
+        head, row = list(csv.reader(io.StringIO(out)))
+        fom = bound_B(load_spec_file(spec_path), KernelParams(2, 2, 0.28),
+                      ProductWeights((1.0,) * 3))
+        assert int(row[head.index("T")]) == 10
+        assert float(row[head.index("bound")]) == fom.value
+
+    def test_capacity_refusal_names_the_setting(self, tmp_path, capsys,
+                                                monkeypatch):
+        monkeypatch.setenv("TENTQMC_CAP", "1000")  # below the 2^10 index scan
+        spec_path = write(tmp_path, "spec.txt", S3_SPEC)
+        code, out, err = run_main(["bound", spec_path, "--cwalsh", "0.28"], capsys)
+        assert code == 3 and out == ""
+        assert "TENTQMC_CAP" in err
 
 
 class TestWce:

@@ -41,7 +41,10 @@ class TestFirstIrreducible:
         assert first_irreducible(2, 4) == poly_from_string("1,0,0,1,1", 2)
         assert first_irreducible(3, 1).degree() == 1
 
-    @pytest.mark.parametrize("b,n", [(2, 3), (3, 2), (5, 2)])
+    # the check below scans every candidate, constant term 0 included, so
+    # it also pins the skip of multiples of x
+    @pytest.mark.parametrize("b,n", [(2, 3), (3, 2), (5, 2), (2, 5), (2, 7),
+                                     (3, 3), (3, 4), (5, 3)])
     def test_result_is_monic_irreducible_and_first(self, b, n):
         p = first_irreducible(b, n)
         assert p.degree() == n and p.coeffs[-1] == 1
@@ -52,6 +55,10 @@ class TestFirstIrreducible:
             if q == p:
                 break
             assert not poly_is_irreducible(q)
+
+    @pytest.mark.parametrize("b", [2, 3, 5])
+    def test_degree_one_is_x(self, b):
+        assert first_irreducible(b, 1) == PolyZb(b, (0, 1))
 
 
 class TestExhaustive:

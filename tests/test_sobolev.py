@@ -8,16 +8,25 @@ import pytest
 
 from oracles import (
     BERNOULLI_NUMBERS,
+    _dual_box_sum,
+    brute_delta_b,
+    brute_mu_alpha,
     count_zero_sum_tuples,
     eb_weight_sum_brute,
     integral_split,
     kernel_1d_fraction,
     kernel_coeff_naive,
+    random_poly_spec,
     wce_squared_slow,
 )
-from tentqmc import _kernels
+from tentqmc import _kernels, sobolev
 from tentqmc.base_arith import poly_from_string
-from tentqmc.nets import PolyLatticeSpec, matrices_from_poly, net_from_poly
+from tentqmc.nets import (
+    CapacityError,
+    PolyLatticeSpec,
+    matrices_from_poly,
+    net_from_poly,
+)
 from tentqmc.sobolev import (
     A_constants,
     KernelParams,
@@ -332,6 +341,96 @@ class TestBoundB:
             spec = PolyLatticeSpec(2, 2, 2, p, (poly_from_string(qs_text, 2),))
             vals[qs_text] = bound_B(spec, params, w, T=6).value
         assert vals["0"] == max(vals.values())
+
+
+class TestHistogramAgainstBoxOracle:
+    """Residue-histogram sums against the enumeration of the L^s dual box."""
+
+    # largest truncation per base that keeps the box small, for s <= 2 and 3
+    T_MAX = {2: (8, 6), 3: (5, 4), 5: (4, 3)}
+
+    def box_sums(self, spec, alpha, c, weights, T):
+        """(bound_B, dual_net_wce) by the box oracle, admissible list by scan."""
+        b = spec.base
+        A = np.array(
+            [0] + [k for k in range(1, b**T) if brute_delta_b(k, b) % b == 0]
+        )
+        gen = matrices_from_poly(spec)
+        decay = np.array([0.0] + [
+            float(b) ** (-2 * brute_mu_alpha(int(k) // b, alpha, b))
+            for k in A[1:]
+        ])
+        coeffs = np.array([0.0] + [
+            kernel_walsh_coefficient_1d(int(k) // b, alpha, b, T + alpha)
+            for k in A[1:]
+        ])
+        return (_dual_box_sum(gen, A, decay, weights, c, None),
+                _dual_box_sum(gen, A, coeffs, weights, 1.0, None))
+
+    def random_weights(self, rng, s, table):
+        if table:
+            return TableWeights(
+                s, (0.0,) + tuple(rng.uniform(0.0, 2.0, 2**s - 1)), 0.5
+            )
+        return ProductWeights(tuple(rng.uniform(0.1, 2.0, s)), 0.5)
+
+    def assert_agrees(self, spec, alpha, weights, T):
+        c = 0.3
+        want_b, want_w = self.box_sums(spec, alpha, c, weights, T)
+        params = KernelParams(alpha, spec.base, c)
+        got_b = bound_B(spec, params, weights, T=T)
+        got_w = dual_net_wce(spec, params, weights, T=T)
+        assert got_b.truncation == T
+        assert got_b.value == pytest.approx(want_b, rel=1e-12, abs=0.0)
+        assert got_w == pytest.approx(want_w, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("table", [False, True])
+    def test_random_specs(self, table):
+        rng = np.random.default_rng(20 + table)
+        for _ in range(40):
+            spec = random_poly_spec(rng, bases=(2, 3, 5), s_max=3)
+            T = int(rng.integers(2, self.T_MAX[spec.base][spec.s == 3] + 1))
+            alpha = int(rng.integers(1, 4))
+            weights = self.random_weights(rng, spec.s, table)
+            self.assert_agrees(spec, alpha, weights, T)
+
+    @pytest.mark.parametrize("table", [False, True])
+    def test_convolution_across_row_blocks(self, monkeypatch, table):
+        # N = 27 with one difference row per block; s = 4 convolves twice
+        monkeypatch.setattr(sobolev, "_CONV_BLOCK", 8)
+        p = poly_from_string("1,2,0,1", 3)
+        qs = tuple(poly_from_string(q, 3) for q in ("1", "2,1", "1,0,2", "0,1,1"))
+        spec = PolyLatticeSpec(3, 3, 3, p, qs)
+        weights = self.random_weights(np.random.default_rng(3), 4, table)
+        self.assert_agrees(spec, 2, weights, 3)
+
+    def three_coordinate_spec(self):
+        p = poly_from_string("1,1,0,0,0,0,1", 2)
+        qs = tuple(poly_from_string(q, 2) for q in ("1", "1,1,0,1", "1,0,1,1,1"))
+        return PolyLatticeSpec(2, 6, 6, p, qs)
+
+    def test_capacity_checked_before_the_scan(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("admissible digits built before the cap check")
+
+        monkeypatch.setattr(sobolev, "_admissible_digits", fail)
+        spec = self.three_coordinate_spec()
+        params = KernelParams(2, 2, 0.3)
+        with pytest.raises(CapacityError, match="TENTQMC_CAP"):
+            bound_B(spec, params, ProductWeights((1.0,) * 3), cap=1000)  # 2^10
+
+    @pytest.mark.parametrize("table", [False, True])
+    def test_capacity_checked_before_the_histograms(self, monkeypatch, table):
+        def fail(*args):
+            raise AssertionError("histograms built before the cap check")
+
+        monkeypatch.setattr(sobolev, "_residue_codes", fail)
+        spec = self.three_coordinate_spec()
+        params = KernelParams(2, 2, 0.3)
+        weights = self.random_weights(np.random.default_rng(1), 3, table)
+        # the 2^10 scan fits; the 64^2 convolution does not
+        with pytest.raises(CapacityError, match="TENTQMC_CAP"):
+            bound_B(spec, params, weights, cap=2000)
 
 
 class TestDigitSums:
